@@ -110,27 +110,37 @@ StatusOr<Linearized> Linearize(const core::Database& db,
   auto completed = oracle->Complete(db.facts());
   if (!completed.ok()) return completed.status();
 
+  // The completion by distinct-term set: the atoms inside dom(fact) are
+  // one lookup per subset of the fact's terms.
+  auto term_bits = [](const std::vector<Term>& args) {
+    std::vector<std::uint32_t> bits;
+    bits.reserve(args.size());
+    for (Term t : args) bits.push_back(t.bits());
+    return bits;
+  };
+  saturation::TermSetIndex by_term_set;
+  for (std::size_t i = 0; i < completed->size(); ++i) {
+    by_term_set.Add(term_bits((*completed)[i].args),
+                    static_cast<std::uint32_t>(i));
+  }
+
   for (const Atom& fact : db.facts()) {
     std::unordered_map<Term, std::uint32_t> ids =
         FirstOccurrenceIds(fact.args);
     SigmaType type;
     type.guard.predicate = fact.predicate;
     for (Term t : fact.args) type.guard.args.push_back(ids.at(t));
-    for (const Atom& beta : *completed) {
-      bool inside = true;
-      for (Term t : beta.args) {
-        if (!ids.count(t)) {
-          inside = false;
-          break;
-        }
-      }
-      if (!inside) continue;
+    std::vector<std::uint32_t> dom = term_bits(fact.args);
+    std::sort(dom.begin(), dom.end());
+    dom.erase(std::unique(dom.begin(), dom.end()), dom.end());
+    by_term_set.ForEachInside(dom, [&](std::uint32_t index) {
+      const Atom& beta = (*completed)[index];
       CAtom mapped;
       mapped.predicate = beta.predicate;
       for (Term t : beta.args) mapped.args.push_back(ids.at(t));
-      if (mapped == type.guard) continue;
+      if (mapped == type.guard) return;
       type.others.insert(std::move(mapped));
-    }
+    });
     core::PredicateId tau = registry.Intern(type);
     Status st = out.database.AddFact(Atom(tau, fact.args));
     if (!st.ok()) return st;

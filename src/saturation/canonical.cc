@@ -1,7 +1,6 @@
 #include "saturation/canonical.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace nuchase {
 namespace saturation {
@@ -18,6 +17,10 @@ std::string CAtom::ToString(const core::SymbolTable& symbols) const {
 }
 
 Canonicalized Canonicalize(const CAtomSet& atoms) {
+  return Canonicalize(std::vector<CAtom>(atoms.begin(), atoms.end()));
+}
+
+Canonicalized Canonicalize(std::vector<CAtom> atoms) {
   std::vector<std::uint32_t> used;
   for (const CAtom& a : atoms) {
     used.insert(used.end(), a.args.begin(), a.args.end());
@@ -25,24 +28,27 @@ Canonicalized Canonicalize(const CAtomSet& atoms) {
   std::sort(used.begin(), used.end());
   used.erase(std::unique(used.begin(), used.end()), used.end());
 
-  std::unordered_map<std::uint32_t, std::uint32_t> old_to_new;
-  for (std::size_t i = 0; i < used.size(); ++i) {
-    old_to_new.emplace(used[i], static_cast<std::uint32_t>(i + 1));
+  // The new name of an integer is its 1-based rank in `used`.
+  for (CAtom& a : atoms) {
+    for (std::uint32_t& t : a.args) {
+      t = static_cast<std::uint32_t>(
+          std::lower_bound(used.begin(), used.end(), t) - used.begin() + 1);
+    }
   }
+  std::sort(atoms.begin(), atoms.end());
+  atoms.erase(std::unique(atoms.begin(), atoms.end()), atoms.end());
 
   Canonicalized out;
-  out.new_to_old = used;
   out.key.num_terms = static_cast<std::uint32_t>(used.size());
-  for (const CAtom& a : atoms) {
-    CAtom renamed = a;
-    for (std::uint32_t& t : renamed.args) t = old_to_new.at(t);
-    out.key.atoms.push_back(std::move(renamed));
-  }
-  std::sort(out.key.atoms.begin(), out.key.atoms.end());
-  out.key.atoms.erase(
-      std::unique(out.key.atoms.begin(), out.key.atoms.end()),
-      out.key.atoms.end());
+  out.key.atoms = std::move(atoms);
+  out.new_to_old = std::move(used);
   return out;
+}
+
+void TermSetIndex::Add(std::vector<std::uint32_t> args, std::uint32_t id) {
+  std::sort(args.begin(), args.end());
+  args.erase(std::unique(args.begin(), args.end()), args.end());
+  sets_[std::move(args)].push_back(id);
 }
 
 }  // namespace saturation

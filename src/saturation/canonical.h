@@ -1,8 +1,10 @@
 #ifndef NUCHASE_SATURATION_CANONICAL_H_
 #define NUCHASE_SATURATION_CANONICAL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "core/atom.h"
@@ -81,6 +83,48 @@ struct Canonicalized {
 /// deterministic renaming onto 1..k suffices for the oracle's memoization
 /// to terminate (the key space over ≤ k terms is finite).
 Canonicalized Canonicalize(const CAtomSet& atoms);
+Canonicalized Canonicalize(std::vector<CAtom> atoms);
+
+/// Ids filed by the set of distinct terms of their atom, for finding the
+/// atoms whose terms all lie in a small set T: one lookup per subset of
+/// T, or a scan of the distinct term sets when there are fewer of them.
+class TermSetIndex {
+ public:
+  /// Files `id` under the distinct terms of `args`.
+  void Add(std::vector<std::uint32_t> args, std::uint32_t id);
+
+  /// Calls fn(id) for every id filed under a subset of `terms`, which
+  /// must be sorted and distinct.
+  template <typename Fn>
+  void ForEachInside(const std::vector<std::uint32_t>& terms,
+                     const Fn& fn) const {
+    if (terms.size() >= 32 ||
+        (std::size_t{1} << terms.size()) > sets_.size()) {
+      for (const auto& [set, ids] : sets_) {
+        if (std::includes(terms.begin(), terms.end(), set.begin(),
+                          set.end())) {
+          for (std::uint32_t id : ids) fn(id);
+        }
+      }
+      return;
+    }
+    std::vector<std::uint32_t> subset;
+    for (std::uint32_t mask = 0; mask < (1u << terms.size()); ++mask) {
+      subset.clear();
+      for (std::size_t i = 0; i < terms.size(); ++i) {
+        if (mask & (1u << i)) subset.push_back(terms[i]);
+      }
+      auto found = sets_.find(subset);
+      if (found == sets_.end()) continue;
+      for (std::uint32_t id : found->second) fn(id);
+    }
+  }
+
+ private:
+  std::unordered_map<std::vector<std::uint32_t>, std::vector<std::uint32_t>,
+                     util::VectorHash<std::uint32_t>>
+      sets_;
+};
 
 }  // namespace saturation
 }  // namespace nuchase

@@ -1,6 +1,7 @@
 #include "saturation/type_oracle.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace nuchase {
 namespace saturation {
@@ -9,6 +10,61 @@ using core::Atom;
 using core::Term;
 using util::Status;
 using util::StatusOr;
+
+bool TypeOracle::World::Insert(const CAtom& atom) {
+  auto [it, fresh] = members.insert(atom);
+  if (!fresh) return false;
+  const auto id = static_cast<std::uint32_t>(atoms.size());
+  atoms.push_back(&*it);
+  for (std::uint32_t t : atom.args) {
+    if (by_term[t].empty() || by_term[t].back() != id) {
+      by_term[t].push_back(id);
+    }
+  }
+  by_term_set.Add(atom.args, id);
+  return true;
+}
+
+TypeOracle::TypeOracle(const core::SymbolTable& symbols,
+                       const tgd::TgdSet& tgds, const Options& options)
+    : symbols_(symbols), options_(options) {
+  for (const tgd::Tgd& rule : tgds.tgds()) {
+    CompiledRule compiled;
+    std::unordered_map<Term, std::uint32_t> var;
+    for (Term t : rule.guard().args) {
+      auto it = var.emplace(t, static_cast<std::uint32_t>(var.size())).first;
+      compiled.guard.push_back(it->second);
+    }
+    compiled.num_body_vars = static_cast<std::uint32_t>(var.size());
+    for (Term z : rule.existential()) {
+      var.emplace(z, static_cast<std::uint32_t>(var.size()));
+    }
+    compiled.num_existentials =
+        static_cast<std::uint32_t>(rule.existential().size());
+    auto compile = [&](const Atom& atom) {
+      CAtom out;
+      out.predicate = atom.predicate;
+      for (Term t : atom.args) out.args.push_back(var.at(t));
+      return out;
+    };
+    for (std::size_t b = 0; b < rule.body().size(); ++b) {
+      if (static_cast<int>(b) == rule.guard_index()) continue;
+      compiled.sides.push_back(compile(rule.body()[b]));
+    }
+    for (const Atom& head_atom : rule.head()) {
+      compiled.head.push_back(compile(head_atom));
+    }
+    for (Term x : rule.frontier()) compiled.frontier.push_back(var.at(x));
+
+    const core::PredicateId guard_pred = rule.guard().predicate;
+    if (rules_by_guard_.size() <= guard_pred) {
+      rules_by_guard_.resize(guard_pred + 1);
+    }
+    rules_by_guard_[guard_pred].push_back(
+        static_cast<std::uint32_t>(rules_.size()));
+    rules_.push_back(std::move(compiled));
+  }
+}
 
 StatusOr<TypeOracle> TypeOracle::Create(const core::SymbolTable& symbols,
                                         const tgd::TgdSet& tgds,
@@ -34,171 +90,185 @@ Status TypeOracle::CheckBudget() const {
   return Status::OK();
 }
 
-void TypeOracle::EnumerateHoms(
-    const std::vector<Atom>& body, const CAtomSet& world,
-    const std::function<void(
-        const std::unordered_map<Term, std::uint32_t>&)>& cb) const {
-  // Candidates per body atom, by predicate.
-  std::vector<std::vector<const CAtom*>> candidates(body.size());
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    for (const CAtom& a : world) {
-      if (a.predicate == body[i].predicate) candidates[i].push_back(&a);
-    }
-    if (candidates[i].empty()) return;
+StatusOr<TypeOracle::World*> TypeOracle::Lookup(CKey key) {
+  auto [it, inserted] = memo_.try_emplace(std::move(key));
+  World& world = it->second;
+  if (inserted) {
+    world.num_terms = it->first.num_terms;
+    world.by_term.resize(world.num_terms + 1);
+    for (const CAtom& a : it->first.atoms) world.Insert(a);
+    total_atoms_ += it->first.atoms.size();
+    NUCHASE_RETURN_IF_ERROR(CheckBudget());
   }
+  return &world;
+}
 
-  std::unordered_map<Term, std::uint32_t> h;
-  // Match body atoms left-to-right (the guard is typically leftmost and
-  // binds everything; worlds are small, so no further ordering is needed).
-  std::function<void(std::size_t)> recurse = [&](std::size_t i) {
-    if (i == body.size()) {
-      cb(h);
-      return;
+Status TypeOracle::FireAt(World* world, std::uint32_t guard_id,
+                          std::uint32_t depth, bool* exact) {
+  // Elements of `members` never move, so this survives insertions.
+  const CAtom& guard_atom = *world->atoms[guard_id];
+  if (guard_atom.predicate >= rules_by_guard_.size()) return Status::OK();
+
+  std::vector<std::uint32_t> h;
+  CAtom probe;
+  auto instantiate = [&](const CAtom& pattern) {
+    probe.predicate = pattern.predicate;
+    probe.args.clear();
+    for (std::uint32_t v : pattern.args) probe.args.push_back(h[v]);
+  };
+
+  for (std::uint32_t rule_index : rules_by_guard_[guard_atom.predicate]) {
+    const CompiledRule& rule = rules_[rule_index];
+    // Terms are 1-based, so 0 marks an unbound variable.
+    h.assign(rule.num_body_vars + rule.num_existentials, 0);
+    bool matched = true;
+    for (std::size_t p = 0; p < rule.guard.size() && matched; ++p) {
+      std::uint32_t& bound = h[rule.guard[p]];
+      if (bound == 0) {
+        bound = guard_atom.args[p];
+      } else {
+        matched = bound == guard_atom.args[p];
+      }
     }
-    const Atom& pattern = body[i];
-    for (const CAtom* fact : candidates[i]) {
-      std::vector<Term> bound;
-      bool ok = true;
-      for (std::size_t p = 0; p < pattern.args.size(); ++p) {
-        Term v = pattern.args[p];
-        auto it = h.find(v);
-        if (it == h.end()) {
-          h.emplace(v, fact->args[p]);
-          bound.push_back(v);
-        } else if (it->second != fact->args[p]) {
-          ok = false;
+    for (std::size_t s = 0; s < rule.sides.size() && matched; ++s) {
+      instantiate(rule.sides[s]);
+      matched = world->members.count(probe) > 0;
+    }
+    if (!matched) continue;
+
+    if (rule.num_existentials == 0) {
+      for (const CAtom& head_atom : rule.head) {
+        instantiate(head_atom);
+        if (world->Insert(probe)) ++total_atoms_;
+      }
+      continue;
+    }
+
+    // Child world: the instantiated head atoms (existentials get fresh
+    // integers above the world's term range) plus the current atoms over
+    // the frontier images.
+    for (std::uint32_t i = 0; i < rule.num_existentials; ++i) {
+      h[rule.num_body_vars + i] = world->num_terms + 1 + i;
+    }
+    std::vector<CAtom> child_atoms;
+    child_atoms.reserve(rule.head.size());
+    for (const CAtom& head_atom : rule.head) {
+      instantiate(head_atom);
+      child_atoms.push_back(probe);
+    }
+    std::vector<std::uint32_t> frontier;
+    frontier.reserve(rule.frontier.size());
+    for (std::uint32_t v : rule.frontier) frontier.push_back(h[v]);
+    std::sort(frontier.begin(), frontier.end());
+    frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                   frontier.end());
+    world->by_term_set.ForEachInside(frontier, [&](std::uint32_t id) {
+      child_atoms.push_back(*world->atoms[id]);
+    });
+
+    Canonicalized canon = Canonicalize(std::move(child_atoms));
+    StatusOr<World*> looked_up = Lookup(std::move(canon.key));
+    if (!looked_up.ok()) return looked_up.status();
+    World* child = *looked_up;
+    if (!child->final) {
+      if (child->in_progress || child->evaluated_in == iteration_) {
+        *exact = false;
+      } else {
+        StatusOr<bool> child_final = Eval(child, depth + 1);
+        if (!child_final.ok()) return child_final.status();
+        if (!*child_final) *exact = false;
+      }
+    }
+
+    // The child's completion over non-fresh terms flows back. `child`
+    // may be `world` itself: index, and stop at the current size.
+    const std::size_t child_size = child->atoms.size();
+    for (std::size_t i = 0; i < child_size; ++i) {
+      const CAtom& atom = *child->atoms[i];
+      probe.predicate = atom.predicate;
+      probe.args.clear();
+      bool has_fresh = false;
+      for (std::uint32_t t : atom.args) {
+        std::uint32_t original = canon.new_to_old[t - 1];
+        if (original > world->num_terms) {
+          has_fresh = true;
           break;
         }
+        probe.args.push_back(original);
       }
-      if (ok) recurse(i + 1);
-      for (Term v : bound) h.erase(v);
-    }
-  };
-  recurse(0);
-}
-
-StatusOr<bool> TypeOracle::OnePass(const CKey& key, std::uint32_t depth) {
-  CAtomSet& S = memo_[key];
-  CAtomSet additions;
-
-  for (std::size_t ti = 0; ti < tgds_.size(); ++ti) {
-    const tgd::Tgd& rule = tgds_.tgd(ti);
-
-    // Snapshot the homomorphisms first: Eval() on child worlds must not
-    // run while we iterate S.
-    std::vector<std::unordered_map<Term, std::uint32_t>> homs;
-    EnumerateHoms(rule.body(), S,
-                  [&](const std::unordered_map<Term, std::uint32_t>& h) {
-                    homs.push_back(h);
-                  });
-
-    for (const auto& h : homs) {
-      if (rule.existential().empty()) {
-        for (const Atom& head_atom : rule.head()) {
-          CAtom derived;
-          derived.predicate = head_atom.predicate;
-          derived.args.reserve(head_atom.args.size());
-          for (Term v : head_atom.args) derived.args.push_back(h.at(v));
-          if (!S.count(derived)) additions.insert(std::move(derived));
-        }
-        continue;
-      }
-
-      // Child world: instantiated head atoms (existentials get fresh
-      // integers above the world's term range) plus the current atoms
-      // over the frontier images.
-      std::unordered_map<Term, std::uint32_t> extended = h;
-      std::uint32_t next_fresh = key.num_terms + 1;
-      for (Term z : rule.existential()) extended.emplace(z, next_fresh++);
-
-      std::unordered_set<std::uint32_t> frontier_images;
-      for (Term x : rule.frontier()) frontier_images.insert(h.at(x));
-
-      CAtomSet world;
-      for (const Atom& head_atom : rule.head()) {
-        CAtom derived;
-        derived.predicate = head_atom.predicate;
-        derived.args.reserve(head_atom.args.size());
-        for (Term v : head_atom.args) derived.args.push_back(extended.at(v));
-        world.insert(std::move(derived));
-      }
-      for (const CAtom& beta : S) {
-        bool visible = true;
-        for (std::uint32_t t : beta.args) {
-          if (!frontier_images.count(t)) {
-            visible = false;
-            break;
-          }
-        }
-        if (visible) world.insert(beta);
-      }
-
-      Canonicalized canon = Canonicalize(world);
-      NUCHASE_RETURN_IF_ERROR(Eval(canon.key, depth + 1));
-
-      const CAtomSet& child_result = memo_.at(canon.key);
-      for (const CAtom& atom : child_result) {
-        CAtom translated = atom;
-        bool has_fresh = false;
-        for (std::uint32_t& t : translated.args) {
-          std::uint32_t original = canon.new_to_old[t - 1];
-          if (original > key.num_terms) {  // a fresh (existential) term
-            has_fresh = true;
-            break;
-          }
-          t = original;
-        }
-        if (has_fresh) continue;
-        if (!S.count(translated)) additions.insert(std::move(translated));
-      }
+      if (!has_fresh && world->Insert(probe)) ++total_atoms_;
     }
   }
-
-  if (additions.empty()) return false;
-  for (const CAtom& a : additions) {
-    S.insert(a);
-    ++total_atoms_;
-  }
-  NUCHASE_RETURN_IF_ERROR(CheckBudget());
-  return true;
+  return CheckBudget();
 }
 
-Status TypeOracle::Eval(const CKey& key, std::uint32_t depth) {
+StatusOr<bool> TypeOracle::Eval(World* world, std::uint32_t depth) {
   if (depth > options_.max_recursion) {
     return Status::ResourceExhausted("type oracle recursion too deep");
   }
-  auto it = memo_.find(key);
-  if (it == memo_.end()) {
-    memo_.emplace(key, CAtomSet(key.atoms.begin(), key.atoms.end()));
-    total_atoms_ += key.atoms.size();
-    NUCHASE_RETURN_IF_ERROR(CheckBudget());
-  }
-  if (in_progress_.count(key)) return Status::OK();
-
-  in_progress_.insert(key);
-  while (true) {
-    StatusOr<bool> changed = OnePass(key, depth);
-    if (!changed.ok()) {
-      in_progress_.erase(key);
-      return changed.status();
+  world->in_progress = true;
+  world->evaluated_in = iteration_;
+  bool exact = true;
+  Status status = Status::OK();
+  // The first pass matches every atom as a guard.
+  std::vector<std::uint32_t> pending(world->atoms.size());
+  std::iota(pending.begin(), pending.end(), 0u);
+  while (status.ok() && !pending.empty()) {
+    const std::size_t before = world->atoms.size();
+    for (std::uint32_t id : pending) {
+      status = FireAt(world, id, depth, &exact);
+      if (!status.ok()) break;
     }
-    if (!*changed) break;
-    global_changed_ = true;
+    if (!status.ok() || world->atoms.size() == before) break;
+    changed_ = true;
+    // The next pass: the atoms sharing a term with an addition, or all
+    // of them after a 0-ary addition.
+    pending.clear();
+    for (std::size_t id = before; id < world->atoms.size(); ++id) {
+      const std::vector<std::uint32_t>& args = world->atoms[id]->args;
+      if (args.empty()) {
+        pending.resize(world->atoms.size());
+        std::iota(pending.begin(), pending.end(), 0u);
+        break;
+      }
+      for (std::uint32_t t : args) {
+        const std::vector<std::uint32_t>& ids = world->by_term[t];
+        pending.insert(pending.end(), ids.begin(), ids.end());
+      }
+    }
+    std::sort(pending.begin(), pending.end());
+    pending.erase(std::unique(pending.begin(), pending.end()), pending.end());
   }
-  in_progress_.erase(key);
-  return Status::OK();
+  world->in_progress = false;
+  if (!status.ok()) return status;
+  if (exact) {
+    world->final = true;
+  } else {
+    evaluated_.push_back(world);
+  }
+  return exact;
 }
 
 StatusOr<CAtomSet> TypeOracle::CompleteCanonical(const CAtomSet& world) {
   Canonicalized canon = Canonicalize(world);
-  do {
-    global_changed_ = false;
-    NUCHASE_RETURN_IF_ERROR(Eval(canon.key, 0));
-  } while (global_changed_);
+  StatusOr<World*> root = Lookup(std::move(canon.key));
+  if (!root.ok()) return root.status();
+  while (!(*root)->final) {
+    ++iteration_;
+    changed_ = false;
+    evaluated_.clear();
+    StatusOr<bool> exact = Eval(*root, 0);
+    if (!exact.ok()) return exact.status();
+    // An iteration that changed nothing leaves every world it visited
+    // closed under Σ given its children: all of them are complete.
+    if (!changed_) {
+      for (World* visited : evaluated_) visited->final = true;
+    }
+  }
 
   CAtomSet out;
-  for (const CAtom& atom : memo_.at(canon.key)) {
-    CAtom translated = atom;
+  for (const CAtom* atom : (*root)->atoms) {
+    CAtom translated = *atom;
     for (std::uint32_t& t : translated.args) t = canon.new_to_old[t - 1];
     out.insert(std::move(translated));
   }

@@ -100,27 +100,7 @@ endif()
 # Golden-file checks over examples/programs/: every committed program's
 # classify/decide/chase output must match tests/golden/ exactly.
 
-# run_golden(<program.tgd> <golden-file> <expected-rc> <arg>...)
-function(run_golden program golden expected_rc)
-  execute_process(
-      COMMAND "${NUCHASE_CLI}" ${ARGN} "${REPO_DIR}/examples/programs/${program}"
-      OUTPUT_VARIABLE stdout
-      ERROR_VARIABLE stderr
-      RESULT_VARIABLE rc)
-  if(NOT rc EQUAL expected_rc)
-    message(FATAL_ERROR
-        "golden ${golden}: nuchase ${ARGN} ${program} exited ${rc}, "
-        "expected ${expected_rc}\nstdout:\n${stdout}\nstderr:\n${stderr}")
-  endif()
-  file(READ "${REPO_DIR}/tests/golden/${golden}" expected)
-  if(NOT stdout STREQUAL expected)
-    message(FATAL_ERROR
-        "golden mismatch for ${golden} (nuchase ${ARGN} ${program}).\n"
-        "--- expected ---\n${expected}\n--- got ---\n${stdout}\n"
-        "If the change is intentional, regenerate tests/golden/ (see "
-        "README, Benchmarks) and commit the diff.")
-  endif()
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/run_golden.cmake)
 
 foreach(prog quickstart data_exchange datalog_tc)
   run_golden(${prog}.tgd ${prog}_classify.txt 0 classify)

@@ -4,6 +4,8 @@
 #include "rewrite/linearize.h"
 #include "tgd/classify.h"
 #include "tgd/parser.h"
+#include "workload/lower_bounds.h"
+#include "workload/university.h"
 
 namespace nuchase {
 namespace rewrite {
@@ -160,6 +162,37 @@ TEST(LinearizeTest, TypeBudgetIsEnforced) {
                        options);
   EXPECT_FALSE(lin.ok());
   EXPECT_EQ(lin.status().code(), util::StatusCode::kResourceExhausted);
+}
+
+// Pinned sizes of gsimple(D, Σ): the rewriting is deterministic, so
+// any change to type saturation that alters them changes the output.
+TEST(GSimplifyTest, Theorem84FamilySizesArePinned) {
+  for (std::uint64_t ell = 1; ell <= 4; ++ell) {
+    core::SymbolTable symbols;
+    workload::Workload w =
+        workload::MakeGuardedLowerBound(&symbols, ell, 1, 1);
+    auto gsimple =
+        GSimplify(w.database, w.tgds, &symbols, LinearizeOptions{});
+    ASSERT_TRUE(gsimple.ok()) << gsimple.status().ToString();
+    EXPECT_EQ(gsimple->num_types, 104u) << "ell=" << ell;
+    EXPECT_EQ(gsimple->num_linear_tgds, 131u) << "ell=" << ell;
+    EXPECT_EQ(gsimple->tgds.size(), 5341u) << "ell=" << ell;
+  }
+}
+
+TEST(GSimplifyTest, UniversityTypeCountsArePinned) {
+  for (bool fed : {false, true}) {
+    core::SymbolTable symbols;
+    workload::UniversityOptions options;
+    options.departments = 3;
+    options.include_review_rule = fed;
+    options.under_review = fed ? 2 : 0;
+    workload::Workload w = workload::MakeUniversityWorkload(&symbols, options);
+    auto gsimple =
+        GSimplify(w.database, w.tgds, &symbols, LinearizeOptions{});
+    ASSERT_TRUE(gsimple.ok()) << gsimple.status().ToString();
+    EXPECT_EQ(gsimple->num_types, fed ? 14u : 11u) << "fed=" << fed;
+  }
 }
 
 }  // namespace

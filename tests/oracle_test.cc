@@ -119,7 +119,16 @@ INSTANTIATE_TEST_SUITE_P(
                    "P(a). P(x) -> S(x, z), T(z, x). T(z, x) -> U(x)."},
         OracleCase{"zero_ary",
                    "Start(s). Start(x) -> Path(x, z). Path(x, z) -> "
-                   "Goal()."}),
+                   "Goal()."},
+        // E(a,b) is matched before N(b) exists: an addition must
+        // re-match every atom sharing one of its terms.
+        OracleCase{"late_side_atom",
+                   "E(a, b). M(b). M(x) -> N(x). E(x, y), N(y) -> F(x)."},
+        // Go() shares no term with Other(b), which was matched before
+        // Go() was derived: a 0-ary addition must re-match every atom.
+        OracleCase{"zero_ary_side_atom",
+                   "Other(b). Start(a). Start(x) -> Go(). "
+                   "Other(y), Go() -> Done(y)."}),
     [](const ::testing::TestParamInfo<OracleCase>& info) {
       return info.param.name;
     });
@@ -157,6 +166,30 @@ TEST(TypeOracleTest, InfiniteChaseWithComebacks) {
   ASSERT_TRUE(completed.ok());
   // Over {a,b}: R(a,b), Seen(a), Seen(b).
   EXPECT_EQ(completed->size(), 3u);
+}
+
+TEST(TypeOracleTest, CycleThroughAnUnfinishedWorldIsRevisited) {
+  // The root {A(a,b)} spawns the world {B(1,2)}, whose own child is
+  // isomorphic to the root again. That inner visit reads the root before
+  // A(x,y) -> X(x) has fired, so Y(b) needs a second global iteration:
+  // chase: A(a,b), B(b,z1), A(z1,z2), X(z1), so Y(b). The chase is
+  // infinite, so the expectation is spelled out.
+  core::SymbolTable symbols;
+  auto program = tgd::ParseProgram(&symbols,
+                                   "A(a, b).\n"
+                                   "A(x, y) -> B(y, z).\n"
+                                   "A(x, y) -> X(x).\n"
+                                   "B(x, y) -> A(y, z).\n"
+                                   "B(x, y), X(y) -> Y(x).\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  auto oracle =
+      TypeOracle::Create(symbols, program->tgds, TypeOracle::Options{});
+  ASSERT_TRUE(oracle.ok());
+  auto completed = oracle->Complete(program->database.facts());
+  ASSERT_TRUE(completed.ok()) << completed.status().ToString();
+  std::set<std::string> got;
+  for (const core::Atom& a : *completed) got.insert(a.ToString(symbols));
+  EXPECT_EQ(got, (std::set<std::string>{"A(a, b)", "X(a)", "Y(b)"}));
 }
 
 TEST(TypeOracleTest, SelfSimilarWorldsShareOneMemoEntry) {
