@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "chase/chase.h"
 #include "tgd/classify.h"
 #include "workload/turing.h"
@@ -57,6 +59,13 @@ struct TmCase {
   TuringMachine (*make)();
   bool halts;
 };
+
+// Without this, gtest prints the raw bytes of the struct (pointers
+// included) into the listed test names, which then change from build to
+// build with the load address.
+void PrintTo(const TmCase& c, std::ostream* os) {
+  *os << c.name;
+}
 
 TuringMachine Halting0() { return MakeHaltingTm(0); }
 TuringMachine Halting1() { return MakeHaltingTm(1); }
